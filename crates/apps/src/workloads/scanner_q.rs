@@ -111,12 +111,21 @@ mod tests {
     use super::*;
     use lightdb_datasets::{encode_dataset, Dataset, DatasetSpec};
 
+    /// `LIGHTDB_SCANNER_BUDGET` is process-wide: tests that run the
+    /// scanner hold this while one of them shrinks the budget.
+    static SCANNER_BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn budget_lock() -> std::sync::MutexGuard<'static, ()> {
+        SCANNER_BUDGET.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn spec() -> DatasetSpec {
         DatasetSpec { width: 128, height: 64, fps: 4, seconds: 2, qp: 22 }
     }
 
     #[test]
     fn tiling_runs() {
+        let _budget = budget_lock();
         let input = encode_dataset(Dataset::Venice, &spec());
         let (out, _) = tiling(&input, 2, 2).unwrap();
         assert_eq!(out.frame_count(), 8);
@@ -124,6 +133,7 @@ mod tests {
 
     #[test]
     fn ar_runs() {
+        let _budget = budget_lock();
         let input = encode_dataset(Dataset::Venice, &spec());
         let (out, _) = ar(&input, 64).unwrap();
         assert_eq!(out.frame_count(), 8);
@@ -131,6 +141,7 @@ mod tests {
 
     #[test]
     fn long_input_exhausts_memory() {
+        let _budget = budget_lock();
         std::env::set_var("LIGHTDB_SCANNER_BUDGET", "50000");
         let input = encode_dataset(Dataset::Venice, &spec());
         let r = tiling(&input, 2, 2);

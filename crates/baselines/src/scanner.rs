@@ -147,6 +147,14 @@ mod tests {
     use lightdb_codec::{Encoder, EncoderConfig};
     use lightdb_frame::Yuv;
 
+    /// `LIGHTDB_SCANNER_BUDGET` is process-wide: tests that run the
+    /// scanner hold this while one of them shrinks the budget.
+    static SCANNER_BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn budget_lock() -> std::sync::MutexGuard<'static, ()> {
+        SCANNER_BUDGET.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn source(n: usize) -> VideoStream {
         let frames: Vec<Frame> = (0..n)
             .map(|i| {
@@ -167,6 +175,7 @@ mod tests {
 
     #[test]
     fn ingest_materializes_everything() {
+        let _budget = budget_lock();
         let s = source(8);
         let p = ScannerPipeline::ingest(&s).unwrap();
         assert_eq!(p.len(), 8);
@@ -174,6 +183,7 @@ mod tests {
 
     #[test]
     fn budget_enforced() {
+        let _budget = budget_lock();
         let s = source(8);
         std::env::set_var("LIGHTDB_SCANNER_BUDGET", "1000");
         let r = ScannerPipeline::ingest(&s);
@@ -183,6 +193,7 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
+        let _budget = budget_lock();
         let s = source(6);
         let p = ScannerPipeline::ingest(&s).unwrap();
         let g = p.map(lightdb_frame::kernels::grayscale);
@@ -194,6 +205,7 @@ mod tests {
 
     #[test]
     fn tiling_splits_frames() {
+        let _budget = budget_lock();
         let s = source(4);
         let p = ScannerPipeline::ingest(&s).unwrap();
         let tiles = p.tile(2, 2).unwrap();
@@ -204,6 +216,7 @@ mod tests {
 
     #[test]
     fn write_uses_fixed_settings() {
+        let _budget = budget_lock();
         let s = source(4);
         let p = ScannerPipeline::ingest(&s).unwrap();
         let hi = p.write(6).unwrap();

@@ -75,7 +75,8 @@ pub struct Executor {
     /// What scans do when a stored GOP turns out to be corrupt.
     pub read_policy: ReadPolicy,
     /// Worker-thread budget for chunk-parallel operators (DECODE,
-    /// ENCODE, MAP, and STORE's auto-encode). Defaults to
+    /// ENCODE, MAP, SUBQUERY, UNION/FLATTEN compositing, and STORE's
+    /// auto-encode). Defaults to
     /// [`Parallelism::from_env`] (`LIGHTDB_THREADS`); output is
     /// byte-identical at any setting.
     pub parallelism: Parallelism,
@@ -287,11 +288,23 @@ impl Executor {
                 frameops::partition_chunks(self.build(input, sub)?, spec.clone(), m)
             }
             PhysicalPlan::FlattenChunks { input } => {
-                frameops::flatten_chunks(self.build(input, sub)?, m)
+                frameops::flatten_chunks(
+                    self.build(input, sub)?,
+                    m,
+                    self.parallelism,
+                    self.ctx.clone(),
+                )
             }
             PhysicalPlan::UnionFrames { inputs, merge, device } => {
                 let streams = self.build_all(inputs, sub)?;
-                frameops::union_frames(streams, merge.clone(), *device, m)
+                frameops::union_frames(
+                    streams,
+                    merge.clone(),
+                    *device,
+                    m,
+                    self.parallelism,
+                    self.ctx.clone(),
+                )
             }
             PhysicalPlan::TranslateChunks { input, dx, dy, dz, dt } => {
                 frameops::translate_chunks(self.build(input, sub)?, *dx, *dy, *dz, *dt, m)
@@ -300,46 +313,27 @@ impl Executor {
                 frameops::rotate_frames(self.build(input, sub)?, *dtheta, *dphi, *device, m)
             }
             PhysicalPlan::Subquery { input, body, label } => {
-                let exec = self.clone();
+                // Each partition chunk's body is built and drained on a
+                // pool worker. Bodies run serially inside, so a query
+                // never uses more than `parallelism` workers.
+                let exec = Executor { parallelism: Parallelism::SERIAL, ..self.clone() };
                 let body = body.clone();
                 let label = label.clone();
-                let input = self.build(input, sub)?;
-                let mut outbox: Vec<Chunk> = Vec::new();
-                let mut input = input;
-                Box::new(std::iter::from_fn(move || loop {
-                    if let Some(c) = outbox.pop() {
-                        return Some(Ok(c));
-                    }
-                    let chunk = match input.next()? {
-                        Err(e) => return Some(Err(e)),
-                        Ok(c) => c,
-                    };
-                    let part = chunk.part;
-                    let body_plan = match body(&chunk.volume) {
-                        Err(e) => {
-                            return Some(Err(ExecError::Other(format!(
-                                "subquery {label}: {e}"
-                            ))))
-                        }
-                        Ok(p) => p,
-                    };
-                    let stream = match exec.build(&body_plan, Some(&chunk)) {
-                        Err(e) => return Some(Err(e)),
-                        Ok(s) => s,
-                    };
-                    let mut produced: Vec<Chunk> = Vec::new();
-                    for r in stream {
-                        match r {
-                            Err(e) => return Some(Err(e)),
-                            Ok(mut out) => {
-                                out.part = part; // keep the partition's identity
-                                produced.push(out);
-                            }
-                        }
-                    }
-                    produced.reverse();
-                    outbox = produced;
-                }))
+                crate::parallel::par_flat_map_chunks_ctx(
+                    self.build(input, sub)?,
+                    self.parallelism,
+                    self.ctx.clone(),
+                    move |chunk| {
+                        let body_plan = body(&chunk.volume)
+                            .map_err(|e| ExecError::Other(format!("subquery {label}: {e}")))?;
+                        exec.build(&body_plan, Some(&chunk))?
+                            .map(|r| {
+                                // Keep the partition's identity.
+                                r.map(|out| Chunk { part: chunk.part, ..out })
+                            })
+                            .collect()
+                    },
+                )
             }
             PhysicalPlan::Store { .. }
             | PhysicalPlan::CreateTlf { .. }
@@ -881,5 +875,164 @@ mod tests {
         let QueryOutput::Frames(gpu) = exec.run(&mk(Device::Gpu)).unwrap() else { panic!() };
         assert_eq!(cpu[0].1, gpu[0].1);
         fs::remove_dir_all(exec.catalog.root()).unwrap();
+    }
+
+    /// A UDF that sleeps `pause` per call and, when `cancel` is armed
+    /// with `(n, token)`, cancels its own query on call `n` — so an
+    /// abort lands inside whichever operator invokes it.
+    #[derive(Debug)]
+    struct Stall {
+        calls: std::sync::atomic::AtomicUsize,
+        pause: std::time::Duration,
+        cancel: Option<(usize, crate::query_ctx::CancelToken)>,
+    }
+
+    impl Stall {
+        fn tick(&self) {
+            let n = self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            if let Some((at, token)) = &self.cancel {
+                if n == *at {
+                    token.cancel();
+                }
+            }
+            std::thread::sleep(self.pause);
+        }
+    }
+
+    impl lightdb_core::udf::MapUdf for Stall {
+        fn name(&self) -> &str {
+            "STALL"
+        }
+        fn apply(&self, frame: &Frame) -> Frame {
+            self.tick();
+            frame.clone()
+        }
+    }
+
+    impl lightdb_core::udf::MergeUdf for Stall {
+        fn name(&self) -> &str {
+            "STALL"
+        }
+        fn merge(&self, _first: Yuv, second: Yuv) -> Yuv {
+            self.tick();
+            second
+        }
+    }
+
+    fn decoded(name: &str) -> PhysicalPlan {
+        PhysicalPlan::ToFrames { input: Box::new(scan(name)), device: Device::Cpu }
+    }
+
+    /// PARTITION into 2×2 tiles per GOP, then a SUBQUERY whose body
+    /// runs the stalling UDF on each tile.
+    fn subquery_plan(udf: Arc<Stall>) -> PhysicalPlan {
+        let body: crate::plan::CompiledSubquery = Arc::new(move |_: &Volume| {
+            Ok(PhysicalPlan::MapFrames {
+                f: MapFunction::Custom(udf.clone()),
+                device: Device::Cpu,
+                input: Box::new(PhysicalPlan::SubqueryInput),
+            })
+        });
+        PhysicalPlan::Subquery {
+            label: "stall".into(),
+            body,
+            input: Box::new(PhysicalPlan::PartitionChunks {
+                spec: vec![
+                    (Dimension::T, 1.0),
+                    (Dimension::Theta, std::f64::consts::PI),
+                    (Dimension::Phi, std::f64::consts::PI / 2.0),
+                ],
+                input: Box::new(decoded("src")),
+            }),
+        }
+    }
+
+    /// UNION of the source with itself, merged by the stalling UDF.
+    fn union_plan(udf: Arc<Stall>) -> PhysicalPlan {
+        PhysicalPlan::UnionFrames {
+            inputs: vec![decoded("src"), decoded("src")],
+            merge: lightdb_core::algebra::MergeFunction::Custom(udf),
+            device: Device::Cpu,
+        }
+    }
+
+    /// Aborts landing inside a SUBQUERY body and inside UNION, by
+    /// cancellation and by deadline: the query fails with the
+    /// classified abort, the stream emits no chunk after it, and no
+    /// admission bytes or metrics spans leak.
+    #[test]
+    fn aborts_inside_subquery_and_union_are_classified_and_final() {
+        use lightdb_core::ErrorClass;
+        let base = Executor { parallelism: Parallelism::new(2), ..executor("abort") };
+        seed_video(&base, "src", 4, 4);
+        enum Abort {
+            /// Cancel on UDF call `at`; at most `max_calls` may run in
+            /// total (the calls already in flight finish, no new
+            /// partition body or output frame starts).
+            Cancel { at: usize, max_calls: usize },
+            DeadlineMs(u64),
+        }
+        type PlanFn = fn(Arc<Stall>) -> PhysicalPlan;
+        // (operator, plan, stall per UDF call in µs, abort), on two
+        // workers. A SUBQUERY body maps its tile's 4 frames (4 calls):
+        // by call 6 at most one body finished and two are in flight,
+        // so at most 3 bodies ever run. UNION merges 3584 times per
+        // 64×32 output frame (the first input's blit calls the UDF for
+        // the 3 pixels of each 2×2 block after the first; the second
+        // input's for all 2048), so by call 3000 no frame finished and
+        // at most the 2 in flight ever run — not the step's 4.
+        let cases: [(&str, PlanFn, u64, Abort); 4] = [
+            ("SUBQUERY", subquery_plan, 5_000, Abort::Cancel { at: 6, max_calls: 3 * 4 }),
+            ("SUBQUERY", subquery_plan, 20_000, Abort::DeadlineMs(400)),
+            ("UNION", union_plan, 0, Abort::Cancel { at: 3_000, max_calls: 2 * 3584 }),
+            ("UNION", union_plan, 200, Abort::DeadlineMs(400)),
+        ];
+        for (op, plan_for, pause_us, abort) in cases {
+            // Twice per case: once draining the raw chunk stream, once
+            // through `run` with admission active.
+            for through_run in [false, true] {
+                let mut ctx = QueryCtx::unbounded();
+                if let Abort::DeadlineMs(ms) = abort {
+                    ctx = ctx.with_deadline(std::time::Duration::from_millis(ms));
+                }
+                if through_run {
+                    ctx = ctx.with_mem_estimate(1 << 20);
+                }
+                let udf = Arc::new(Stall {
+                    calls: Default::default(),
+                    pause: std::time::Duration::from_micros(pause_us),
+                    cancel: match abort {
+                        Abort::Cancel { at, .. } => Some((at, ctx.cancel_token())),
+                        Abort::DeadlineMs(_) => None,
+                    },
+                });
+                let plan = plan_for(udf.clone());
+                let exec = Executor { ctx, ..base.clone() };
+                let err = if through_run {
+                    exec.run(&plan).unwrap_err()
+                } else {
+                    let items: Vec<Result<Chunk>> = exec.build(&plan, None).unwrap().collect();
+                    let first_err = items.iter().position(|r| r.is_err()).expect("query aborts");
+                    assert!(
+                        items[first_err..].iter().all(|r| r.is_err()),
+                        "{op}: a chunk was emitted after the abort"
+                    );
+                    items.into_iter().nth(first_err).unwrap().unwrap_err()
+                };
+                let want = match abort {
+                    Abort::Cancel { .. } => ErrorClass::Cancelled,
+                    Abort::DeadlineMs(_) => ErrorClass::DeadlineExceeded,
+                };
+                assert_eq!(err.classify(), want, "{op}: {err}");
+                let calls = udf.calls.load(std::sync::atomic::Ordering::SeqCst);
+                assert!(calls > 0, "{op}: the abort must land inside the operator");
+                if let Abort::Cancel { max_calls, .. } = abort {
+                    assert!(calls <= max_calls, "{op}: {calls} UDF calls after a cancel");
+                }
+                assert_eq!(exec.pool.admitted(), 0, "{op}: admission leaked");
+                assert_eq!(exec.metrics.open_spans(), 0, "{op}: span leaked");
+            }
+        }
+        fs::remove_dir_all(base.catalog.root()).unwrap();
     }
 }

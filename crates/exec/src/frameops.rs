@@ -6,7 +6,7 @@
 //! across frames, and the GPU encoder uses a hardware-style narrow
 //! motion search.
 
-use crate::chunk::{is_omega, Chunk, ChunkPayload, TimeGrouped};
+use crate::chunk::{is_omega, Chunk, ChunkPayload, TimeGrouped, OMEGA};
 use crate::device::{gpu_map, gpu_row_kernel, transfer_frames, Device};
 use crate::metrics::{counters, Metrics};
 use crate::parallel::{par_map_chunks_ctx, Parallelism};
@@ -19,7 +19,7 @@ use lightdb_codec::scratch::{DecoderScratch, EncoderScratch};
 use lightdb_codec::{CodecKind, Decoder, SequenceHeader, TileGrid};
 use lightdb_core::algebra::{MergeFunction, VolumePredicate};
 use lightdb_core::udf::{BuiltinInterp, InterpFunction, MapFunction};
-use lightdb_frame::{Frame, Yuv};
+use lightdb_frame::{Frame, PlaneKind, Yuv};
 use lightdb_geom::{Dimension, Interval, Volume};
 
 /// Narrow motion-search range used by the simulated hardware (GPU)
@@ -708,16 +708,22 @@ fn partition_one(c: Chunk, spec: &[(Dimension, f64)]) -> Result<Vec<Chunk>> {
 }
 
 /// `FLATTEN`: composite each time step's parts back into one part.
-pub fn flatten_chunks(input: ChunkStream, metrics: Metrics) -> ChunkStream {
+/// Output frames composite in parallel (see [`composite_group`]).
+pub fn flatten_chunks(
+    input: ChunkStream,
+    metrics: Metrics,
+    par: Parallelism,
+    ctx: QueryCtx,
+) -> ChunkStream {
     let grouped = TimeGrouped::new(input);
     Box::new(grouped.map(move |g| {
         let group = g?;
-        metrics
-            .time("FLATTEN", || composite_group(group, &MergeFunction::Last))
-            .map(|mut parts| {
+        composite_group(group, &MergeFunction::Last, "FLATTEN", &metrics, par, &ctx).map(
+            |mut parts| {
                 debug_assert!(!parts.is_empty());
                 parts.swap_remove(0)
-            })
+            },
+        )
     }))
 }
 
@@ -726,12 +732,15 @@ pub fn flatten_chunks(input: ChunkStream, metrics: Metrics) -> ChunkStream {
 /// `UNION` over decoded chunks: a k-way merge of the inputs' time
 /// steps; co-temporal parts at the same spatial point are composited
 /// with the merge function (the null token ω marks transparent
-/// pixels).
+/// pixels). Time steps are pulled one at a time; within one, output
+/// frames composite in parallel (see [`composite_group`]).
 pub fn union_frames(
     inputs: Vec<ChunkStream>,
     merge: MergeFunction,
     _device: Device,
     metrics: Metrics,
+    par: Parallelism,
+    ctx: QueryCtx,
 ) -> ChunkStream {
     let mut grouped: Vec<std::iter::Peekable<TimeGrouped>> = inputs
         .into_iter()
@@ -768,7 +777,7 @@ pub fn union_frames(
                 }
             }
         }
-        match metrics.time("UNION", || composite_group(merged, &merge)) {
+        match composite_group(merged, &merge, "UNION", &metrics, par, &ctx) {
             Err(e) => return Some(Err(e)),
             Ok(mut parts) => {
                 // Re-number parts within the time step.
@@ -785,7 +794,23 @@ pub fn union_frames(
 /// Composites a time step's chunks: parts at (approximately) the same
 /// spatial position merge into the one with the widest angular
 /// extent; distinct positions stay separate parts.
-pub fn composite_group(group: Vec<Chunk>, merge: &MergeFunction) -> Result<Vec<Chunk>> {
+///
+/// Each composited output frame is one [`scatter`] job on up to
+/// `par.threads()` workers, timed under `op` (so `op`'s busy/wall
+/// ratio reads as its parallel efficiency) and preceded by a `ctx`
+/// check. Frames depend only on their own index, so output is
+/// byte-identical at any thread count.
+///
+/// [`scatter`]: crate::parallel::scatter
+pub fn composite_group(
+    group: Vec<Chunk>,
+    merge: &MergeFunction,
+    op: &'static str,
+    metrics: &Metrics,
+    par: Parallelism,
+    ctx: &QueryCtx,
+) -> Result<Vec<Chunk>> {
+    ctx.check()?;
     if group.is_empty() {
         return Err(ExecError::Align("empty union group".into()));
     }
@@ -808,12 +833,19 @@ pub fn composite_group(group: Vec<Chunk>, merge: &MergeFunction) -> Result<Vec<C
             }
             continue;
         }
-        out.push(composite_bucket(bucket, merge)?);
+        out.push(composite_bucket(bucket, merge, op, metrics, par, ctx)?);
     }
     Ok(out)
 }
 
-fn composite_bucket(bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chunk> {
+fn composite_bucket(
+    bucket: Vec<Chunk>,
+    merge: &MergeFunction,
+    op: &'static str,
+    metrics: &Metrics,
+    par: Parallelism,
+    ctx: &QueryCtx,
+) -> Result<Chunk> {
     // The densest input (pixels per radian) sets the canvas
     // resolution; the canvas covers the hull of all inputs' angular
     // extents, and inputs are blitted *in order* so merge-function
@@ -827,6 +859,7 @@ fn composite_bucket(bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chunk> 
     let mut density_phi: f64 = 0.0;
     let mut frame_count = 0usize;
     let mut device = Device::Cpu;
+    let mut layers: Vec<(&[Frame], &Volume)> = Vec::with_capacity(bucket.len());
     for c in &bucket {
         let ChunkPayload::Decoded { frames, device: d } = &c.payload else {
             return Err(ExecError::Domain(
@@ -837,6 +870,7 @@ fn composite_bucket(bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chunk> 
             density_theta =
                 density_theta.max(f.width() as f64 / c.volume.theta().length().max(1e-12));
             density_phi = density_phi.max(f.height() as f64 / c.volume.phi().length().max(1e-12));
+            layers.push((frames, &c.volume));
         }
         frame_count = frame_count.max(frames.len());
         device = *d;
@@ -846,16 +880,27 @@ fn composite_bucket(bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chunk> 
     }
     let canvas_w = (((density_theta * hull.theta().length()).round() as usize).max(2) + 1) & !1;
     let canvas_h = (((density_phi * hull.phi().length()).round() as usize).max(2) + 1) & !1;
-    let mut frames = vec![Frame::filled(canvas_w, canvas_h, crate::chunk::OMEGA); frame_count];
-    for c in &bucket {
-        let ChunkPayload::Decoded { frames: ov, .. } = &c.payload else {
-            unreachable!("checked above");
-        };
-        if ov.is_empty() {
-            continue;
-        }
-        blit_overlay(&mut frames, &hull, ov, &c.volume, merge);
-    }
+    let placed: Vec<(&[Frame], BlitRect)> = layers
+        .into_iter()
+        .filter_map(|(ov, vol)| Some((ov, overlay_rect(canvas_w, canvas_h, &hull, vol)?)))
+        .collect();
+    // Canvases are allocated here, on the calling thread, so the
+    // output frames come from its allocator arena rather than from
+    // short-lived workers' arenas.
+    let canvases = vec![Frame::filled(canvas_w, canvas_h, OMEGA); frame_count];
+    let frames = crate::parallel::scatter(canvases, par.threads(), |i, mut canvas| {
+        ctx.check()?;
+        metrics.time(op, || {
+            for (ov, rect) in &placed {
+                // The last overlay frame broadcasts when the overlay
+                // is shorter (static watermarks).
+                blit_overlay(&mut canvas, *rect, &ov[i.min(ov.len() - 1)], merge);
+            }
+            Ok(canvas)
+        })
+    })
+    .into_iter()
+    .collect::<Result<Vec<Frame>>>()?;
     let Some(first) = bucket.into_iter().next() else {
         return Err(ExecError::Align("union bucket is empty".into()));
     };
@@ -866,22 +911,20 @@ fn composite_bucket(bucket: Vec<Chunk>, merge: &MergeFunction) -> Result<Chunk> 
     })
 }
 
-/// Blits overlay frames into base frames at the overlay's angular
-/// position, resizing to the target pixel rect, skipping ω pixels,
-/// and resolving overlaps with the merge function. Overlay frame `i`
-/// pairs with base frame `i` (the last overlay frame broadcasts when
-/// the overlay is shorter — static watermarks).
-fn blit_overlay(
-    base: &mut [Frame],
-    base_vol: &Volume,
-    overlay: &[Frame],
-    ov_vol: &Volume,
-    merge: &MergeFunction,
-) {
-    if base.is_empty() {
-        return;
-    }
-    let (w, h) = (base[0].width(), base[0].height());
+/// A 2-aligned pixel rectangle on a compositing canvas.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlitRect {
+    x0: usize,
+    y0: usize,
+    w: usize,
+    h: usize,
+}
+
+/// Where an overlay with angular extent `ov_vol` lands on a `w × h`
+/// canvas covering `base_vol`: corners snapped outward to even pixels
+/// (4:2:0 chroma blocks never straddle the edge) and clipped to the
+/// canvas. `None` when less than one 2×2 block is covered.
+fn overlay_rect(w: usize, h: usize, base_vol: &Volume, ov_vol: &Volume) -> Option<BlitRect> {
     let bth = base_vol.theta();
     let bph = base_vol.phi();
     let fx0 = ((ov_vol.theta().lo() - bth.lo()) / bth.length().max(1e-12)).clamp(0.0, 1.0);
@@ -894,30 +937,96 @@ fn blit_overlay(
     let y1 = ((((fy1 * h as f64).ceil() as usize).min(h)) + 1) & !1;
     let (x1, y1) = (x1.min(w), y1.min(h));
     if x1 <= x0 + 1 || y1 <= y0 + 1 {
-        return;
+        return None;
     }
-    let (tw, th) = (x1 - x0, y1 - y0);
-    for (i, bf) in base.iter_mut().enumerate() {
-        let ov = &overlay[i.min(overlay.len() - 1)];
-        let scaled;
-        let src = if ov.width() == tw && ov.height() == th {
-            ov
-        } else {
-            scaled = ov.resize(tw, th);
-            &scaled
-        };
-        for y in 0..th {
-            for x in 0..tw {
-                let s = src.get(x, y);
-                if is_omega(s) {
-                    continue; // null ray: base wins
+    Some(BlitRect { x0, y0, w: x1 - x0, h: y1 - y0 })
+}
+
+/// Blits one overlay frame into `base` over `rect`, skipping ω pixels
+/// and resolving overlaps with the merge function. The overlay is
+/// sampled in place with [`Frame::resize`]'s nearest-neighbour index
+/// math (per plane), so the result equals resizing it to the rect
+/// first and then merging pixel by pixel.
+///
+/// `rect` is 2-aligned, so each 2×2 luma block shares one chroma
+/// sample in both frames. `LAST` then reduces to a rule per block:
+/// non-ω pixels copy their luma, and the block takes the overlay's
+/// chroma when any of its four pixels did. The other merge functions
+/// read the base's current chroma, which earlier pixels of the same
+/// block may have rewritten, so they walk pixels in raster order.
+fn blit_overlay(base: &mut Frame, rect: BlitRect, ov: &Frame, merge: &MergeFunction) {
+    let BlitRect { x0, y0, w: tw, h: th } = rect;
+    let (ow, oh) = (ov.width(), ov.height());
+    let (ocw, och, tcw, tch) = (ow / 2, oh / 2, tw / 2, th / 2);
+    let (bw, bcw) = (base.width(), base.width() / 2);
+    let src_y = ov.plane(PlaneKind::Luma);
+    let src_u = ov.plane(PlaneKind::Cb);
+    let src_v = ov.plane(PlaneKind::Cr);
+    // Nearest-neighbour source column of every target luma / chroma
+    // column (the same formulas as `Frame::resize`).
+    let lx: Vec<usize> = (0..tw).map(|x| x * ow / tw).collect();
+    let cx: Vec<usize> = (0..tcw).map(|x| x * ocw / tcw).collect();
+    let (dst_y, dst_u, dst_v) = base.planes_mut();
+    if matches!(merge, MergeFunction::Last) {
+        // lint: hot-loop — per-2×2-block LAST rule, plane slices only
+        for cy in 0..tch {
+            let sc = (cy * och / tch) * ocw;
+            let (su, sv) = (&src_u[sc..sc + ocw], &src_v[sc..sc + ocw]);
+            let dc = (y0 / 2 + cy) * bcw + x0 / 2;
+            let (du, dv) = (&mut dst_u[dc..dc + tcw], &mut dst_v[dc..dc + tcw]);
+            let s0 = ((2 * cy) * oh / th) * ow;
+            let s1 = ((2 * cy + 1) * oh / th) * ow;
+            let (sl0, sl1) = (&src_y[s0..s0 + ow], &src_y[s1..s1 + ow]);
+            let d0 = (y0 + 2 * cy) * bw + x0;
+            let (top, bottom) = dst_y[d0..d0 + bw + tw].split_at_mut(bw);
+            let (dl0, dl1) = (&mut top[..tw], &mut bottom[..tw]);
+            for k in 0..tcw {
+                let (u, v) = (su[cx[k]], sv[cx[k]]);
+                // A pixel is ω only if its chroma is, too.
+                let omega_chroma = u == OMEGA.u && v == OMEGA.v;
+                let mut wrote = false;
+                for x in 2 * k..2 * k + 2 {
+                    let (a, b) = (sl0[lx[x]], sl1[lx[x]]);
+                    if !omega_chroma || a != OMEGA.y {
+                        dl0[x] = a;
+                        wrote = true;
+                    }
+                    if !omega_chroma || b != OMEGA.y {
+                        dl1[x] = b;
+                        wrote = true;
+                    }
                 }
-                let d = bf.get(x0 + x, y0 + y);
-                let v = merge_pixels(merge, d, s);
-                bf.set(x0 + x, y0 + y, v);
+                if wrote {
+                    du[k] = u;
+                    dv[k] = v;
+                }
             }
         }
+        // lint: end-hot-loop
+        return;
     }
+    // lint: hot-loop — raster-order merge with the sequential chroma cascade
+    for y in 0..th {
+        let sl = (y * oh / th) * ow;
+        let sl = &src_y[sl..sl + ow];
+        let sc = ((y / 2) * och / tch) * ocw;
+        let (su, sv) = (&src_u[sc..sc + ocw], &src_v[sc..sc + ocw]);
+        let dl = (y0 + y) * bw + x0;
+        let dc = (y0 / 2 + y / 2) * bcw + x0 / 2;
+        for x in 0..tw {
+            let s = Yuv::new(sl[lx[x]], su[cx[x / 2]], sv[cx[x / 2]]);
+            if is_omega(s) {
+                continue; // null ray: base wins
+            }
+            let (li, ci) = (dl + x, dc + x / 2);
+            let d = Yuv::new(dst_y[li], dst_u[ci], dst_v[ci]);
+            let m = merge_pixels(merge, d, s);
+            dst_y[li] = m.y;
+            dst_u[ci] = m.u;
+            dst_v[ci] = m.v;
+        }
+    }
+    // lint: end-hot-loop
 }
 
 fn merge_pixels(merge: &MergeFunction, first: Yuv, second: Yuv) -> Yuv {
@@ -1207,7 +1316,8 @@ mod tests {
     fn degenerate_union_groups_error_instead_of_panicking() {
         // An empty time-step group must surface as an ExecError, not
         // unwind through the pipeline.
-        match composite_group(vec![], &MergeFunction::Last) {
+        let (m, par, ctx) = (Metrics::new(), Parallelism::SERIAL, QueryCtx::unbounded());
+        match composite_group(vec![], &MergeFunction::Last, "UNION", &m, par, &ctx) {
             Err(ExecError::Align(_)) => {}
             other => panic!("expected Align error, got {other:?}"),
         }
@@ -1232,7 +1342,7 @@ mod tests {
                 gop: enc.gops[0].clone(),
             },
         };
-        match composite_group(vec![mk(), mk()], &MergeFunction::Last) {
+        match composite_group(vec![mk(), mk()], &MergeFunction::Last, "UNION", &m, par, &ctx) {
             Err(ExecError::Domain(_)) => {}
             other => panic!("expected Domain error, got {other:?}"),
         }
@@ -1247,6 +1357,8 @@ mod tests {
             MergeFunction::Last,
             Device::Cpu,
             Metrics::new(),
+            Parallelism::SERIAL,
+            QueryCtx::unbounded(),
         )
         .collect();
         assert!(results.iter().any(|r| r.is_err()));
@@ -1428,7 +1540,12 @@ mod tests {
         let c = decoded_chunk(0, frames.clone());
         let spec = vec![(Dimension::Theta, PI / 2.0), (Dimension::Phi, PI / 2.0)];
         let parted = partition_chunks(stream_of(vec![c]), spec, Metrics::new());
-        let flat = collect(flatten_chunks(parted, Metrics::new()));
+        let flat = collect(flatten_chunks(
+            parted,
+            Metrics::new(),
+            Parallelism::SERIAL,
+            QueryCtx::unbounded(),
+        ));
         assert_eq!(flat.len(), 1);
         let ChunkPayload::Decoded { frames: out, .. } = &flat[0].payload else {
             panic!()
@@ -1461,6 +1578,8 @@ mod tests {
             MergeFunction::Last,
             Device::Cpu,
             Metrics::new(),
+            Parallelism::SERIAL,
+            QueryCtx::unbounded(),
         ));
         assert_eq!(out.len(), 1);
         let ChunkPayload::Decoded { frames, .. } = &out[0].payload else {
@@ -1483,6 +1602,8 @@ mod tests {
             MergeFunction::Last,
             Device::Cpu,
             Metrics::new(),
+            Parallelism::SERIAL,
+            QueryCtx::unbounded(),
         ));
         let ChunkPayload::Decoded { frames, .. } = &out[0].payload else {
             panic!()
@@ -1505,6 +1626,8 @@ mod tests {
             MergeFunction::Last,
             Device::Cpu,
             Metrics::new(),
+            Parallelism::SERIAL,
+            QueryCtx::unbounded(),
         ));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].t_index, 0);
@@ -1644,5 +1767,226 @@ mod tests {
         let out2 = collect(transfer(stream_of(out), Device::Gpu, m.clone()));
         assert_eq!(out2[0].device(), Device::Gpu);
         assert_eq!(m.count("TRANSFER"), 1);
+    }
+
+    /// The per-pixel blit the in-place kernel replaced: resize the
+    /// overlay to the target rect, then `get`/`merge_pixels`/`set`
+    /// every pixel in raster order. Kept as the differential oracle.
+    fn blit_overlay_reference(
+        base: &mut [Frame],
+        base_vol: &Volume,
+        overlay: &[Frame],
+        ov_vol: &Volume,
+        merge: &MergeFunction,
+    ) {
+        if base.is_empty() {
+            return;
+        }
+        let (w, h) = (base[0].width(), base[0].height());
+        let bth = base_vol.theta();
+        let bph = base_vol.phi();
+        let fx0 = ((ov_vol.theta().lo() - bth.lo()) / bth.length().max(1e-12)).clamp(0.0, 1.0);
+        let fx1 = ((ov_vol.theta().hi() - bth.lo()) / bth.length().max(1e-12)).clamp(0.0, 1.0);
+        let fy0 = ((ov_vol.phi().lo() - bph.lo()) / bph.length().max(1e-12)).clamp(0.0, 1.0);
+        let fy1 = ((ov_vol.phi().hi() - bph.lo()) / bph.length().max(1e-12)).clamp(0.0, 1.0);
+        let x0 = ((fx0 * w as f64) as usize) & !1;
+        let y0 = ((fy0 * h as f64) as usize) & !1;
+        let x1 = ((((fx1 * w as f64).ceil() as usize).min(w)) + 1) & !1;
+        let y1 = ((((fy1 * h as f64).ceil() as usize).min(h)) + 1) & !1;
+        let (x1, y1) = (x1.min(w), y1.min(h));
+        if x1 <= x0 + 1 || y1 <= y0 + 1 {
+            return;
+        }
+        let (tw, th) = (x1 - x0, y1 - y0);
+        for (i, bf) in base.iter_mut().enumerate() {
+            let ov = &overlay[i.min(overlay.len() - 1)];
+            let scaled;
+            let src = if ov.width() == tw && ov.height() == th {
+                ov
+            } else {
+                scaled = ov.resize(tw, th);
+                &scaled
+            };
+            for y in 0..th {
+                for x in 0..tw {
+                    let s = src.get(x, y);
+                    if is_omega(s) {
+                        continue;
+                    }
+                    let d = bf.get(x0 + x, y0 + y);
+                    let v = merge_pixels(merge, d, s);
+                    bf.set(x0 + x, y0 + y, v);
+                }
+            }
+        }
+    }
+
+    /// An order-sensitive custom merge: its output depends on both
+    /// arguments per channel, so any change to the chroma cascade shows.
+    #[derive(Debug)]
+    struct Mix;
+
+    impl lightdb_core::udf::MergeUdf for Mix {
+        fn name(&self) -> &str {
+            "MIX"
+        }
+        fn merge(&self, first: Yuv, second: Yuv) -> Yuv {
+            Yuv::new(
+                first.y.wrapping_mul(3).wrapping_add(second.y),
+                first.u.max(second.u).wrapping_add(1),
+                second.v.wrapping_sub(first.v / 2),
+            )
+        }
+    }
+
+    /// xorshift64*: a tiny seeded generator for the differential test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        /// A sample that is 0 (the ω component value) with
+        /// probability `zero_pct` %.
+        fn sample(&mut self, zero_pct: usize) -> u8 {
+            if self.below(100) < zero_pct {
+                0
+            } else {
+                1 + self.below(255) as u8
+            }
+        }
+        /// A `w × h` frame whose luma and chroma samples are each ω
+        /// with probability `zero_pct` %; chroma zeroes come in (u, v)
+        /// pairs, so whole pixels are ω.
+        fn frame(&mut self, w: usize, h: usize, zero_pct: usize) -> Frame {
+            let y = (0..w * h).map(|_| self.sample(zero_pct)).collect();
+            let (mut u, mut v) = (Vec::new(), Vec::new());
+            for _ in 0..(w / 2) * (h / 2) {
+                if self.below(100) < zero_pct {
+                    u.push(0);
+                    v.push(0);
+                } else {
+                    u.push(self.sample(10));
+                    v.push(self.sample(10));
+                }
+            }
+            Frame::from_planes(w, h, y, u, v)
+        }
+        fn interval(&mut self, lo: f64, hi: f64) -> Interval {
+            let a = lo + (hi - lo) * (self.below(1000) as f64 / 1000.0);
+            let b = lo + (hi - lo) * (self.below(1000) as f64 / 1000.0);
+            Interval::new(a.min(b), a.max(b) + 1e-3)
+        }
+    }
+
+    #[test]
+    fn blit_kernel_matches_per_pixel_reference() {
+        let merges = [
+            MergeFunction::Last,
+            MergeFunction::First,
+            MergeFunction::Mean,
+            MergeFunction::Custom(std::sync::Arc::new(Mix)),
+        ];
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        let mut blitted = 0;
+        for case in 0..400 {
+            let (w, h) = (2 + 2 * rng.below(24), 2 + 2 * rng.below(16));
+            let t = Interval::new(0.0, 1.0);
+            // The canvas covers the whole sphere or a random window.
+            let base_vol = if case % 3 == 0 {
+                Volume::sphere_at(0.0, 0.0, 0.0, t)
+            } else {
+                Volume::sphere_at(0.0, 0.0, 0.0, t)
+                    .with(Dimension::Theta, rng.interval(0.0, 2.0 * PI))
+                    .with(Dimension::Phi, rng.interval(0.0, PI))
+            };
+            // The overlay may hang over the canvas edges.
+            let ov_vol = Volume::sphere_at(0.0, 0.0, 0.0, t)
+                .with(Dimension::Theta, rng.interval(-0.5, 2.0 * PI + 0.5))
+                .with(Dimension::Phi, rng.interval(-0.5, PI + 0.5));
+            let rect = overlay_rect(w, h, &base_vol, &ov_vol);
+            // Half the cases use an overlay already at the rect's size
+            // (no resize), the rest up- or down-sample.
+            let (ow, oh) = match rect {
+                Some(r) if case % 2 == 0 => (r.w, r.h),
+                _ => (2 + 2 * rng.below(20), 2 + 2 * rng.below(20)),
+            };
+            let zero_pct = [0, 30, 60, 90][case % 4];
+            let frames = 1 + rng.below(3);
+            let overlay: Vec<Frame> =
+                (0..1 + rng.below(frames)).map(|_| rng.frame(ow, oh, zero_pct)).collect();
+            let canvas: Vec<Frame> = (0..frames).map(|_| rng.frame(w, h, 40)).collect();
+            for merge in &merges {
+                let mut want = canvas.clone();
+                blit_overlay_reference(&mut want, &base_vol, &overlay, &ov_vol, merge);
+                let mut got = canvas.clone();
+                if let Some(rect) = rect {
+                    for (i, f) in got.iter_mut().enumerate() {
+                        blit_overlay(f, rect, &overlay[i.min(overlay.len() - 1)], merge);
+                    }
+                    blitted += 1;
+                }
+                assert_eq!(
+                    got,
+                    want,
+                    "case {case}: {} canvas {w}×{h}, overlay {ow}×{oh}, rect {rect:?}",
+                    merge.name()
+                );
+            }
+        }
+        assert!(blitted > 1000, "too few cases reached the kernel: {blitted}");
+    }
+
+    /// A merge UDF slow enough that concurrently composited frames
+    /// overlap in time.
+    #[derive(Debug)]
+    struct SlowLast;
+
+    impl lightdb_core::udf::MergeUdf for SlowLast {
+        fn name(&self) -> &str {
+            "SLOW_LAST"
+        }
+        fn merge(&self, _first: Yuv, second: Yuv) -> Yuv {
+            std::thread::sleep(std::time::Duration::from_micros(300));
+            second
+        }
+    }
+
+    #[test]
+    fn union_busy_exceeds_wall_when_frames_composite_in_parallel() {
+        let frames = 8usize;
+        let mk =
+            |seed: usize| decoded_chunk(0, (0..frames).map(|i| textured(4, 4, seed + i)).collect());
+        let merge = MergeFunction::Custom(std::sync::Arc::new(SlowLast));
+        let run = |par| {
+            let m = Metrics::new();
+            let out = collect(union_frames(
+                vec![stream_of(vec![mk(0)]), stream_of(vec![mk(100)])],
+                merge.clone(),
+                Device::Cpu,
+                m.clone(),
+                par,
+                QueryCtx::unbounded(),
+            ));
+            (out, m)
+        };
+        let (serial, _) = run(Parallelism::SERIAL);
+        let (parallel, m) = run(Parallelism::new(4));
+        assert_eq!(serial.len(), 1);
+        assert_eq!(
+            serial[0].payload, parallel[0].payload,
+            "parallel compositing must be byte-identical"
+        );
+        // One timed span per composited frame.
+        assert_eq!(m.count("UNION"), frames as u64);
+        let (busy, wall) = (m.total("UNION"), m.wall("UNION"));
+        assert!(busy > wall, "4 workers must overlap: busy {busy:?}, wall {wall:?}");
+        assert_eq!(m.open_spans(), 0);
     }
 }

@@ -9,10 +9,14 @@
 //! produces a `QueryOutput` byte-identical to the serial one.
 //!
 //! Chunk streams are pull-based `Box<dyn Iterator>`s and deliberately
-//! not `Send`, so [`par_map_chunks`] pulls a batch on the caller's
-//! thread, scatters the batch across workers, and replays the results
-//! in input order. An `Err` item ends its batch and is emitted in
-//! position, exactly as the serial path would.
+//! not `Send`, so [`par_flat_map_chunks_ctx`] pulls a batch on the
+//! caller's thread, scatters the batch across workers, and replays the
+//! results in input order. An `Err` item ends its batch and is emitted
+//! in position, exactly as the serial path would. Every chunk-parallel
+//! operator goes through it: DECODE, ENCODE and MAP as one-to-one maps
+//! ([`par_map_chunks_ctx`]), SUBQUERY as a one-to-many map that runs a
+//! whole body per partition chunk. Below the chunk level, UNION and
+//! FLATTEN composite each output frame as its own [`scatter`] job.
 
 use crate::chunk::Chunk;
 use crate::query_ctx::QueryCtx;
@@ -111,14 +115,8 @@ pub fn scatter<T: Send, U: Send>(
 }
 
 /// Applies a fallible per-chunk transform across worker threads while
-/// preserving stream order and error positions.
-///
-/// Batches of up to `threads × 2` chunks are pulled from `input` on
-/// the calling thread (the stream itself is not `Send`), transformed
-/// concurrently with [`scatter`], and replayed in input order. When
-/// the stream yields an `Err`, the batch ends there and the error is
-/// emitted after the chunks that preceded it — the same prefix a
-/// serial consumer would observe.
+/// preserving stream order and error positions: [`par_flat_map_chunks_ctx`]
+/// with one output chunk per input chunk and no abort context.
 pub fn par_map_chunks(
     input: ChunkStream,
     par: Parallelism,
@@ -127,24 +125,42 @@ pub fn par_map_chunks(
     par_map_chunks_ctx(input, par, QueryCtx::unbounded(), f)
 }
 
-/// [`par_map_chunks`] under a [`QueryCtx`]: cancellation and deadline
-/// are checked on the caller thread before each batch refill and on
-/// every worker before each chunk, so an abort is observed within one
-/// chunk's worth of work. Chunks already transformed when the abort
-/// lands are replayed first (output stays a well-ordered prefix), then
-/// the abort error is emitted and the stream ends.
+/// [`par_map_chunks`] under a [`QueryCtx`]; see
+/// [`par_flat_map_chunks_ctx`] for the batching and abort protocol.
 pub fn par_map_chunks_ctx(
     input: ChunkStream,
     par: Parallelism,
     ctx: QueryCtx,
     f: impl Fn(Chunk) -> Result<Chunk> + Sync + 'static,
 ) -> ChunkStream {
-    if par.is_serial() {
-        return Box::new(input.map(move |c| {
-            ctx.check()?;
-            c.and_then(&f)
-        }));
-    }
+    par_flat_map_chunks_ctx(input, par, ctx, move |c| f(c).map(|c| vec![c]))
+}
+
+/// Applies a fallible chunk → chunks transform across worker threads
+/// while preserving stream order and error positions. Every chunk
+/// `f` returns for input `i` is emitted, in order, before any chunk
+/// of input `i + 1`; an `Err` from `f` stands in for all of input
+/// `i`'s output.
+///
+/// Batches of up to `threads × 2` chunks are pulled from `input` on
+/// the calling thread (the stream itself is not `Send`), transformed
+/// concurrently with [`scatter`], and replayed in input order. When
+/// the stream yields an `Err`, the batch ends there and the error is
+/// emitted after the chunks that preceded it — the same prefix a
+/// serial consumer would observe.
+///
+/// Cancellation and deadline are checked on the caller thread before
+/// each batch refill and on every worker before each chunk, so an
+/// abort is observed within one chunk's worth of work. Once it is,
+/// the batch's results are replayed up to their first error, then
+/// the abort (or that first error) is emitted and the stream ends:
+/// no chunk ever follows an abort, whichever order the workers ran in.
+pub fn par_flat_map_chunks_ctx(
+    input: ChunkStream,
+    par: Parallelism,
+    ctx: QueryCtx,
+    f: impl Fn(Chunk) -> Result<Vec<Chunk>> + Sync + 'static,
+) -> ChunkStream {
     let threads = par.threads();
     let batch_size = threads * 2;
     let mut input = input;
@@ -156,6 +172,20 @@ pub fn par_map_chunks_ctx(
         }
         if done {
             return None;
+        }
+        if par.is_serial() {
+            // One chunk at a time on the calling thread: no batch, no
+            // reassembly step.
+            let c = input.next()?;
+            if let Err(e) = ctx.check() {
+                done = true;
+                return Some(Err(e));
+            }
+            match c.and_then(&f) {
+                Err(e) => return Some(Err(e)),
+                Ok(out) => outbox.extend(out.into_iter().map(Ok)),
+            }
+            continue;
         }
         if let Err(e) = ctx.check() {
             done = true;
@@ -181,13 +211,36 @@ pub fn par_map_chunks_ctx(
             return None;
         }
         let ctx_ref = &ctx;
-        outbox.extend(scatter(batch, threads, |_, c| {
+        let results = scatter(batch, threads, |_, c| {
             // Workers re-check before each item: a cancel that lands
             // mid-batch stops the remaining items, not just the next
             // batch.
             ctx_ref.check()?;
             f(c)
-        }));
+        });
+        if let Err(abort) = ctx.check() {
+            // Keep the well-ordered prefix; a worker that started
+            // before the abort may have finished after one that saw it.
+            let mut first_err = None;
+            for r in results {
+                match r {
+                    Ok(out) => outbox.extend(out.into_iter().map(Ok)),
+                    Err(e) => {
+                        first_err = Some(e);
+                        break;
+                    }
+                }
+            }
+            outbox.push_back(Err(first_err.unwrap_or(abort)));
+            done = true;
+            continue;
+        }
+        for r in results {
+            match r {
+                Ok(out) => outbox.extend(out.into_iter().map(Ok)),
+                Err(e) => outbox.push_back(Err(e)),
+            }
+        }
         // Reassembly failpoint: fires once per replayed batch, on the
         // caller thread (so thread-local arming works in tests).
         if let Err(e) = lightdb_storage::faults::fail_point(

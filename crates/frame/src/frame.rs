@@ -138,6 +138,12 @@ impl Frame {
         }
     }
 
+    /// All three planes at once, mutably: `(luma, Cb, Cr)`.
+    #[inline]
+    pub fn planes_mut(&mut self) -> (&mut [u8], &mut [u8], &mut [u8]) {
+        (&mut self.y, &mut self.u, &mut self.v)
+    }
+
     /// Plane dimensions for `kind` (chroma planes are half-size).
     pub fn plane_dims(&self, kind: PlaneKind) -> (usize, usize) {
         match kind {

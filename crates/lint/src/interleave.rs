@@ -380,9 +380,9 @@ pub fn pool_invariants(s: &PoolState, threads: &[PoolThread]) -> Result<(), Stri
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScatterState {
     /// Reversed `(index, item)` jobs; `pop()` hands out input order
-    /// (parallel.rs lines 88–90).
+    /// (parallel.rs lines 92–94).
     queue: Vec<(usize, u32)>,
-    /// `(index, f(item))` pushed in completion order (line 99).
+    /// `(index, f(item))` pushed in completion order (line 103).
     results: Vec<(usize, Result<u32, u32>)>,
     jobs: usize,
 }
@@ -409,14 +409,14 @@ fn kernel(item: u32) -> u32 {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WorkerPc {
-    /// Locked queue pop (parallel.rs line 95).
+    /// Locked queue pop (parallel.rs line 99).
     Pop,
-    /// Out-of-lock compute of `f(i, t)` (line 98).
+    /// Out-of-lock compute of `f(i, t)` (line 102).
     Compute {
         index: usize,
         item: u32,
     },
-    /// Locked results push (line 99).
+    /// Locked results push (line 103).
     Push {
         index: usize,
         value: Result<u32, u32>,
@@ -480,7 +480,7 @@ pub fn scatter_invariants(s: &ScatterState, items: &[u32], fail: &[usize]) -> Re
     if s.results.len() != s.jobs {
         return Err(format!("{} results for {} jobs", s.results.len(), s.jobs));
     }
-    // Reassemble exactly as parallel.rs lines 106–110 do.
+    // Reassemble exactly as parallel.rs lines 110–114 do.
     let mut slots: Vec<Option<Result<u32, u32>>> = vec![None; s.jobs];
     for (i, v) in &s.results {
         if slots[*i].is_some() {

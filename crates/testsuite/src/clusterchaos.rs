@@ -57,6 +57,13 @@ pub struct ClusterScenario {
     /// Delay before the kill — zero means before the query starts,
     /// larger values land mid-query.
     pub kill_after: Duration,
+    /// `(dead, refused)`: kill worker `dead` before the query starts
+    /// and refuse every connection to worker `refused` for the whole
+    /// run (`Fault::Partition` at `cluster.connect.w<refused>`). Every
+    /// fragment replicated on exactly that pair has no reachable
+    /// replica, so the run loses fragments whatever the timing. Only
+    /// drawn for seeds without a `kill_worker` of their own.
+    pub partitioned: Option<(usize, usize)>,
     /// Query deadline budget.
     pub deadline: Option<Duration>,
     /// Cancel the query from another thread after this long.
@@ -128,11 +135,21 @@ impl ClusterScenario {
             2 => ReadPolicy::SkipCorruptGops { max_skipped: 8 },
             _ => ReadPolicy::Degrade { max_degraded: 8 },
         };
+        // Drawn last, so every other ingredient of a seed is the same
+        // as before this one existed.
+        let partitioned = if kill_worker.is_none() && workers > 1 && rng.chance(15) {
+            let dead = rng.below(workers);
+            let refused = (dead + 1 + rng.below(workers - 1)) % workers;
+            Some((dead as usize, refused as usize))
+        } else {
+            None
+        };
         ClusterScenario {
             seed,
             fault,
             kill_worker,
             kill_after,
+            partitioned,
             deadline,
             cancel_after,
             read_policy,
@@ -191,5 +208,26 @@ mod tests {
         assert!(scenarios
             .iter()
             .any(|s| matches!(s.read_policy, ReadPolicy::Degrade { .. })));
+    }
+
+    #[test]
+    fn partitioned_schedules_pair_two_workers_and_keep_the_seed_kill_free() {
+        let scenarios: Vec<ClusterScenario> =
+            (0..400).map(|s| ClusterScenario::from_seed(s, 3)).collect();
+        for s in &scenarios {
+            if let Some((dead, refused)) = s.partitioned {
+                assert!(dead != refused && dead < 3 && refused < 3, "seed {}", s.seed);
+                assert_eq!(s.kill_worker, None, "seed {}: drawn over a kill", s.seed);
+            }
+        }
+        // The default 60-seed soak must lose fragments under a lossy
+        // policy without relying on timing.
+        assert!(
+            scenarios[..60]
+                .iter()
+                .any(|s| s.partitioned.is_some() && !matches!(s.read_policy, ReadPolicy::Fail)),
+            "no partitioned schedule under a lossy policy in seeds 0..60"
+        );
+        assert_eq!(ClusterScenario::from_seed(7, 1).partitioned, None);
     }
 }

@@ -9,6 +9,14 @@ use lightdb_baselines::scidb::SciDb;
 use lightdb_codec::Decoder;
 use lightdb_datasets::{encode_dataset, install, Dataset, DatasetSpec};
 
+/// `LIGHTDB_SCANNER_BUDGET` is process-wide: tests that run the
+/// scanner hold this while one of them shrinks the budget.
+static SCANNER_BUDGET: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn budget_lock() -> std::sync::MutexGuard<'static, ()> {
+    SCANNER_BUDGET.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn tiny() -> DatasetSpec {
     DatasetSpec { width: 128, height: 64, fps: 4, seconds: 2, qp: 22 }
 }
@@ -75,6 +83,7 @@ fn tiling_quality_is_adaptive_in_lightdb_output() {
 
 #[test]
 fn ar_overlay_marks_detections_in_all_systems() {
+    let _budget = budget_lock();
     let db = temp_db("ar-all");
     install(&db, Dataset::Venice, &tiny()).unwrap();
     let input = encode_dataset(Dataset::Venice, &tiny());
@@ -153,6 +162,7 @@ fn depth_variants_agree_on_output_content() {
 
 #[test]
 fn scanner_oom_is_reported_not_silent() {
+    let _budget = budget_lock();
     let input = encode_dataset(Dataset::Venice, &tiny());
     std::env::set_var("LIGHTDB_SCANNER_BUDGET", "10000");
     let r = scanner_q::tiling(&input, 2, 2);

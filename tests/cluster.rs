@@ -9,6 +9,11 @@
 //!
 //! Runs honour `LIGHTDB_THREADS` (CI soaks both 1 and 8) and
 //! `LIGHTDB_CLUSTER_SEEDS` (default 60).
+//!
+//! Faults arm in the **process-global** registry, and every test's
+//! cluster uses the same link labels (`cluster.rpc.send.w0`, …), so
+//! tests that arm faults hold [`GLOBAL_FAULTS`] exclusively and the
+//! other end-to-end tests hold it shared.
 
 use lightdb::prelude::*;
 use lightdb_cluster::net::{decode_frame, encode_frame, FrameParse, MAX_PAYLOAD};
@@ -20,7 +25,7 @@ use lightdb_storage::faults::{self, sites, Fault};
 use lightdb_testsuite::clusterchaos::ClusterScenario;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 // ---------------------------------------------------------------
@@ -110,6 +115,18 @@ fn per_byte_corruption_sweep_over_a_real_frame() {
 const FRAMES: usize = 24;
 const FRAGMENTS: usize = 3;
 const WORKERS: usize = 3;
+
+/// Exclusive for tests that arm global faults, shared for the other
+/// end-to-end tests.
+static GLOBAL_FAULTS: RwLock<()> = RwLock::new(());
+
+fn no_global_faults() -> RwLockReadGuard<'static, ()> {
+    GLOBAL_FAULTS.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn arming_global_faults() -> RwLockWriteGuard<'static, ()> {
+    GLOBAL_FAULTS.write().unwrap_or_else(|e| e.into_inner())
+}
 
 fn temp_root(tag: &str) -> PathBuf {
     let root =
@@ -204,6 +221,7 @@ fn encoded_bytes(out: QueryOutput) -> Vec<u8> {
 
 #[test]
 fn distributed_execution_matches_single_node_bytes() {
+    let _guard = no_global_faults();
     let root = temp_root("bytes");
     let (dirs, fragments, baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
@@ -217,6 +235,7 @@ fn distributed_execution_matches_single_node_bytes() {
 
 #[test]
 fn killed_worker_fails_over_to_replica_byte_identically() {
+    let _guard = no_global_faults();
     let root = temp_root("failover");
     let (dirs, fragments, baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
@@ -239,6 +258,7 @@ fn killed_worker_fails_over_to_replica_byte_identically() {
 
 #[test]
 fn unreplicated_fragment_fails_classified_unavailable() {
+    let _guard = no_global_faults();
     let root = temp_root("unavail");
     let (dirs, fragments, _baseline) = ingest(&root, 1);
     let cluster = spawn_cluster(&dirs, fragments);
@@ -253,6 +273,7 @@ fn unreplicated_fragment_fails_classified_unavailable() {
 
 #[test]
 fn unreplicated_fragment_under_degrade_drops_whole_gops() {
+    let _guard = no_global_faults();
     let root = temp_root("degrade");
     let (dirs, fragments, baseline) = ingest(&root, 1);
     let baseline_stream = lightdb_codec::VideoStream::from_bytes(&baseline).expect("baseline");
@@ -288,6 +309,7 @@ fn unreplicated_fragment_under_degrade_drops_whole_gops() {
 
 #[test]
 fn pre_cancelled_query_classifies_cancelled_without_dispatch() {
+    let _guard = no_global_faults();
     let root = temp_root("cancel");
     let (dirs, fragments, _baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
@@ -303,6 +325,7 @@ fn pre_cancelled_query_classifies_cancelled_without_dispatch() {
 
 #[test]
 fn mid_query_cancel_interrupts_the_rpc_wait() {
+    let _guard = arming_global_faults();
     let root = temp_root("midcancel");
     let (dirs, fragments, _baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
@@ -333,6 +356,7 @@ fn mid_query_cancel_interrupts_the_rpc_wait() {
 
 #[test]
 fn expired_deadline_classifies_deadline_exceeded() {
+    let _guard = no_global_faults();
     let root = temp_root("deadline");
     let (dirs, fragments, _baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
@@ -348,6 +372,7 @@ fn expired_deadline_classifies_deadline_exceeded() {
 
 #[test]
 fn transient_link_faults_are_retried_with_backoff_and_recovered() {
+    let _guard = arming_global_faults();
     let root = temp_root("transient");
     let (dirs, fragments, baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
@@ -372,6 +397,7 @@ fn transient_link_faults_are_retried_with_backoff_and_recovered() {
 
 #[test]
 fn partitioned_worker_fails_over_byte_identically() {
+    let _guard = arming_global_faults();
     let root = temp_root("partition");
     let (dirs, fragments, baseline) = ingest(&root, 2);
     let cluster = spawn_cluster(&dirs, fragments);
@@ -402,6 +428,7 @@ fn seeds() -> u64 {
 
 #[test]
 fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
+    let _guard = arming_global_faults();
     let root = temp_root("soak");
     let (dirs, fragments, baseline) = ingest(&root, 2);
     let baseline_stream =
@@ -417,6 +444,10 @@ fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
         let cluster = spawn_cluster(&dirs, fragments.clone());
         if let Some((site, fault, hits)) = &sc.fault {
             faults::arm_global_n(site, fault.clone(), *hits);
+        }
+        if let Some((dead, refused)) = sc.partitioned {
+            cluster.kill_worker(dead);
+            faults::arm_global(&format!("{}.w{refused}", sites::CLUSTER_CONNECT), Fault::Partition);
         }
         let killer = sc.kill_worker.map(|victim| {
             let handle = cluster.handles[victim].clone();
@@ -478,6 +509,7 @@ fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
                 // A cancel-only schedule that failed must say so.
                 if sc.fault.is_none()
                     && sc.kill_worker.is_none()
+                    && sc.partitioned.is_none()
                     && sc.deadline.is_none()
                     && sc.cancel_after.is_some()
                 {
@@ -487,6 +519,7 @@ fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
                 assert!(
                     sc.fault.is_some()
                         || sc.kill_worker.is_some()
+                        || sc.partitioned.is_some()
                         || sc.deadline.is_some()
                         || sc.cancel_after.is_some(),
                     "seed {seed}: fault-free schedule failed: {err} ({class})"
@@ -503,7 +536,7 @@ fn seeded_cluster_soak_holds_tri_state_and_leaks_nothing() {
             "seed {seed}: coordinator leaked an open span"
         );
         for w in 0..WORKERS {
-            if Some(w) == sc.kill_worker {
+            if Some(w) == sc.kill_worker || sc.partitioned.is_some_and(|(dead, _)| dead == w) {
                 continue;
             }
             let (admitted, open_spans) = cluster

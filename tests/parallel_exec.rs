@@ -59,6 +59,53 @@ fn query_output_is_identical_across_thread_counts() {
     let _ = fs::remove_dir_all(&root);
 }
 
+/// Media bytes of every track of a stored TLF's latest version.
+type Media = Vec<Vec<u8>>;
+
+fn stored_media(db: &LightDb, name: &str) -> Media {
+    let stored = db.catalog().read(name, None).unwrap();
+    stored
+        .metadata
+        .tracks
+        .iter()
+        .map(|t| fs::read(stored.media().path_of(&t.media_path)).unwrap())
+        .collect()
+}
+
+/// The Fig. 11 applications store byte-identical media at 1/2/4/8
+/// threads: predictive tiling (PARTITION → SUBQUERY of per-tile
+/// adaptive ENCODE → STORE) fans each partition's body out on the
+/// pool, and AR (UNION LAST of the source and DISCRETIZE → detector
+/// boxes → STORE) composites its output frames in parallel.
+#[test]
+fn fig11_subquery_and_union_store_identical_media_across_thread_counts() {
+    use lightdb_apps::workloads::lightdb_q;
+    use lightdb_datasets::{install, Dataset, DatasetSpec};
+    let root = temp_root("fig11");
+    let mut db = LightDb::open(&root).unwrap();
+    let spec = DatasetSpec { width: 128, height: 64, fps: 4, seconds: 2, qp: 22 };
+    for dataset in Dataset::ALL {
+        install(&db, dataset, &spec).unwrap();
+        let input = dataset.name();
+        let mut reference: Option<(Media, Media)> = None;
+        for threads in [1usize, 2, 4, 8] {
+            db.set_parallelism(Parallelism::new(threads));
+            let tiled = lightdb_q::tiling(&db, input, "tiled", 4, 4).unwrap();
+            let ar = lightdb_q::ar(&db, input, "ar", 32).unwrap();
+            assert_eq!((tiled.frames, ar.frames), (spec.frame_count(), spec.frame_count()));
+            let media = (stored_media(&db, "tiled"), stored_media(&db, "ar"));
+            match &reference {
+                None => reference = Some(media),
+                Some(r) => {
+                    assert!(r.0 == media.0, "{input}: {threads}-thread tiling output diverged");
+                    assert!(r.1 == media.1, "{input}: {threads}-thread AR output diverged");
+                }
+            }
+        }
+    }
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// Decoded (frame) outputs are identical too, including multi-part
 /// plans that go through PARTITION.
 #[test]

@@ -7,13 +7,26 @@
 //!
 //! Runs honour `LIGHTDB_THREADS` (CI soaks both 1 and 8) and
 //! `LIGHTDB_CHAOS_SEEDS` for the soak round count.
+//!
+//! The chaos soak arms **process-global** failpoints (executor sites
+//! fire on scatter worker threads, which thread-local faults cannot
+//! reach), so it holds [`GLOBAL_FAULTS`] exclusively while every other
+//! test holds it shared: the fault-free tests still run side by side,
+//! but never while a soak fault is armed.
 
 use lightdb::prelude::*;
 use lightdb_exec::metrics::counters;
 use lightdb_testsuite::chaos::Scenario;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, RwLock, RwLockReadGuard};
+
+/// Exclusive for the chaos soak, shared for every other test.
+static GLOBAL_FAULTS: RwLock<()> = RwLock::new(());
+
+fn no_global_faults() -> RwLockReadGuard<'static, ()> {
+    GLOBAL_FAULTS.read().unwrap_or_else(|e| e.into_inner())
+}
 
 fn temp_root(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("lightdb-sess-{tag}-{}", std::process::id()));
@@ -46,6 +59,7 @@ fn seed_tlf(db: &LightDb, name: &str, gops: usize, gop_length: usize) {
 /// parent handle's defaults.
 #[test]
 fn session_knobs_do_not_leak_across_sessions() {
+    let _guard = no_global_faults();
     let root = temp_root("knobs");
     let db = LightDb::open(&root).unwrap();
     let default_threads = db.parallelism().threads();
@@ -74,6 +88,7 @@ fn session_knobs_do_not_leak_across_sessions() {
 /// byte-identical to a serial reference run.
 #[test]
 fn concurrent_divergent_sessions_match_serial_reference() {
+    let _guard = no_global_faults();
     let root = temp_root("divergent");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 4, 4);
@@ -123,6 +138,7 @@ fn concurrent_divergent_sessions_match_serial_reference() {
 /// cache, counter-verified on the session's metrics.
 #[test]
 fn prepared_statements_hit_the_plan_cache() {
+    let _guard = no_global_faults();
     let root = temp_root("plancache");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -154,6 +170,7 @@ fn prepared_statements_hit_the_plan_cache() {
 /// of serving stale plans.
 #[test]
 fn plan_cache_is_shared_and_version_safe() {
+    let _guard = no_global_faults();
     let root = temp_root("cachever");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -208,6 +225,7 @@ fn plan_cache_is_shared_and_version_safe() {
 /// summed across sessions equal the GOP count, everything else is hits.
 #[test]
 fn shared_scans_decode_each_gop_exactly_once() {
+    let _guard = no_global_faults();
     let root = temp_root("sharedscan");
     let db = LightDb::open(&root).unwrap();
     const GOPS: usize = 6;
@@ -254,6 +272,7 @@ fn shared_scans_decode_each_gop_exactly_once() {
 /// working sets pass through admission, and admissions release fully.
 #[test]
 fn session_budget_applies_and_admissions_release() {
+    let _guard = no_global_faults();
     let root = temp_root("budget");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 2, 2);
@@ -295,6 +314,7 @@ fn session_budget_applies_and_admissions_release() {
 /// nothing may leak.
 #[test]
 fn concurrent_session_chaos_soak() {
+    let _guard = GLOBAL_FAULTS.write().unwrap_or_else(|e| e.into_inner());
     let root = temp_root("soak");
     let db = LightDb::open(&root).unwrap();
     seed_tlf(&db, "vid", 8, 2);
